@@ -1,6 +1,6 @@
 // Package repro_test holds the benchmark harness: one testing.B target
-// per table and figure of the reconstructed evaluation (see DESIGN.md,
-// per-experiment index), plus micro-benchmarks of the substrates. Each
+// per table and figure of the reconstructed evaluation (see README.md,
+// "Experiment families"), plus micro-benchmarks of the substrates. Each
 // experiment bench regenerates its table/figure at Quick scale per
 // iteration; run with
 //
@@ -166,7 +166,7 @@ func BenchmarkGemm(b *testing.B) {
 }
 
 // BenchmarkLUBlockSize ablates the HPL panel width (the NB design
-// choice called out in DESIGN.md).
+// choice).
 func BenchmarkLUBlockSize(b *testing.B) {
 	const n = 256
 	for _, nb := range []int{8, 32, 64, 128} {

@@ -1,5 +1,5 @@
 // Command charhpc runs the platform characterization: every table and
-// figure of the reconstructed evaluation (see DESIGN.md), or a selected
+// figure of the reconstructed evaluation (see README.md), or a selected
 // subset, on the default platform set or one named preset.
 //
 // Usage:

@@ -3,7 +3,7 @@
 // experiments, each of which drives the benchmark suites over the
 // modeled platforms and renders its table or figure data to a writer.
 // Three families are registered: the tables T1-T4, the communication
-// and application figures F1-F16 (see DESIGN.md), and the
+// and application figures F1-F16 (see README.md), and the
 // memory-hierarchy family M1-M6 (latency ladder, TLB stress, page-size
 // comparison, fitted-vs-truth, NUMA placement ladder, placement
 // slowdown; see internal/mem). cmd/charhpc runs the whole registry;
@@ -68,7 +68,7 @@ func (r Request) String() string {
 
 // Experiment is one reproducible table or figure.
 type Experiment struct {
-	// ID is the experiment identifier from DESIGN.md ("T1", "F5", ...).
+	// ID is the experiment identifier ("T1", "F5", ...).
 	ID string
 	// Title describes what the table/figure shows.
 	Title string

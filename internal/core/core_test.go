@@ -8,7 +8,7 @@ import (
 )
 
 func TestRegistryComplete(t *testing.T) {
-	// Every experiment promised in DESIGN.md must be registered.
+	// Every experiment README.md lists must be registered.
 	want := []string{
 		"T1", "T2", "T3", "T4",
 		"F1", "F2", "F3", "F4", "F5", "F6", "F7",
@@ -87,7 +87,7 @@ func TestScaleString(t *testing.T) {
 
 // The experiment smoke tests run each experiment at Quick scale and make
 // shape assertions on the rendered output — these are the "who wins"
-// checks from DESIGN.md.
+// checks.
 
 func runExp(t *testing.T, id string) string {
 	t.Helper()

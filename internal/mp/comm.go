@@ -21,6 +21,7 @@ type engine struct {
 	pendSends  map[uint64]*Request // rendezvous sends awaiting CTS, by own seq
 	rndvRecvs  map[rndvKey]*Request
 	stats      OpStats
+	scratch    []float64 // reduction scratch; see scratchF64
 }
 
 type rndvKey struct {
@@ -121,9 +122,11 @@ type Request struct {
 func (r *Request) Done() bool { return r.done }
 
 // Wait drives progress until the operation completes, returning the
-// receive status (zero for sends).
+// receive status (zero for sends). A completed receive reports its
+// status even with an error: after ErrTruncated, Count is the number of
+// bytes that fit.
 func (r *Request) Wait() (Status, error) {
-	if err := r.c.waitFor(r); err != nil {
+	if err := r.c.waitFor(r); err != nil && !r.done {
 		return Status{}, err
 	}
 	return r.status(), r.err
@@ -207,8 +210,9 @@ func (c *Comm) isendInternal(dst, tag int, buf []byte) (*Request, error) {
 	eng := c.eng
 	eager := eng.cfg.eager()
 	if eager >= 0 && len(buf) <= eager {
-		// Eager: the transport copies the payload; the send is
-		// complete (buffered) as soon as the packet is queued.
+		// Eager: the transport copies the payload into a bounce
+		// buffer; the send is complete (buffered) as soon as the
+		// packet is queued.
 		err := eng.ep.Send(gdst, transport.Packet{
 			Type: transport.Data,
 			Tag:  tag,
@@ -400,17 +404,23 @@ func (eng *engine) matchPosted(src, tag int, ctx uint64) *Request {
 }
 
 // deliver copies a payload into the receive buffer and completes the
-// request. The envelope is taken from the packet for eager data; for
-// rendezvous payloads (whose packets carry no tag) it was already
-// recorded from the RTS by grantRndv. Virtual time is charged here — at
-// match time — not when the packet was pulled off the fabric: a packet
-// sitting in the unexpected queue is NIC-buffered data the CPU has not
-// touched yet, and charging its (possibly far-future) arrival early
-// would teleport the rank's clock forward.
+// request. A rendezvous payload the sender already placed in req.buf
+// arrives as a RndvData with only Size; anything in Data is copied out
+// and its bounce buffer handed back to the transport. The envelope is
+// taken from the packet for eager data; for rendezvous payloads (whose
+// packets carry no tag) it was already recorded from the RTS by
+// grantRndv. Virtual time is charged here — at match time — not when
+// the packet was pulled off the fabric: a packet sitting in the
+// unexpected queue is NIC-buffered data the CPU has not touched yet,
+// and charging its (possibly far-future) arrival early would teleport
+// the rank's clock forward.
 func (c *Comm) deliver(req *Request, pkt transport.Packet) {
 	c.applyClock(pkt)
-	req.n = copy(req.buf, pkt.Data)
-	if len(pkt.Data) > len(req.buf) {
+	size := pkt.PayloadLen()
+	copy(req.buf, pkt.Data)
+	pkt.Release()
+	req.n = min(size, len(req.buf))
+	if size > len(req.buf) {
 		req.err = ErrTruncated
 	}
 	if pkt.Type == transport.Data {
@@ -423,15 +433,18 @@ func (c *Comm) deliver(req *Request, pkt transport.Packet) {
 }
 
 // grantRndv answers a matched RTS with a CTS and parks the request until
-// the payload arrives. As in deliver, the RTS's arrival time is charged
-// now, at match time.
+// the payload arrives. The CTS lends req.buf (Into) so an in-process
+// sender can copy the payload straight into it; from here until the
+// RndvData arrives the buffer belongs to the sender. As in deliver, the
+// RTS's arrival time is charged now, at match time.
 func (c *Comm) grantRndv(req *Request, pkt transport.Packet) {
 	c.applyClock(pkt)
 	req.actualSrc = req.c.localOf(pkt.Src)
 	req.actualTag = pkt.Tag
 	eng := c.eng
 	eng.rndvRecvs[rndvKey{src: pkt.Src, seq: pkt.Seq}] = req
-	if err := eng.ep.Send(pkt.Src, transport.Packet{Type: transport.CTS, Seq: pkt.Seq, Ctx: pkt.Ctx}); err != nil {
+	cts := transport.Packet{Type: transport.CTS, Seq: pkt.Seq, Ctx: pkt.Ctx, Into: req.buf}
+	if err := eng.ep.Send(pkt.Src, cts); err != nil {
 		req.err = err
 		req.done = true
 		delete(eng.rndvRecvs, rndvKey{src: pkt.Src, seq: pkt.Seq})
@@ -475,13 +488,15 @@ func (c *Comm) handle(pkt transport.Packet) error {
 			return fmt.Errorf("mp: rank %d: CTS for unknown seq %d", c.GlobalRank(), pkt.Seq)
 		}
 		delete(eng.pendSends, pkt.Seq)
-		err := eng.ep.Send(req.dst, transport.Packet{
-			Type: transport.RndvData,
-			Seq:  pkt.Seq,
-			Ctx:  pkt.Ctx,
-			Size: len(req.data),
-			Data: req.data,
-		})
+		out := transport.Packet{Type: transport.RndvData, Seq: pkt.Seq, Ctx: pkt.Ctx, Size: len(req.data)}
+		if pkt.Into != nil {
+			// Single copy: place the payload in the receiver's
+			// posted buffer; the RndvData only announces its size.
+			copy(pkt.Into, req.data)
+		} else {
+			out.Data = req.data
+		}
+		err := eng.ep.Send(req.dst, out)
 		req.data = nil
 		req.err = err
 		req.done = true

@@ -1,5 +1,5 @@
 // Package mp is the message-passing runtime the benchmarks run on — the
-// stand-in for MPI (see DESIGN.md). It provides:
+// stand-in for MPI (see README.md, "Architecture"). It provides:
 //
 //   - SPMD launch: Run spawns n ranks as goroutines over a chosen fabric
 //     (in-process, virtual-time simulated, or loopback TCP).

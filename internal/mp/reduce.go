@@ -140,6 +140,18 @@ func (c *Comm) Allreduce(op Op, sendBuf, recvBuf []float64) error {
 	}
 }
 
+// scratchF64 returns the rank's reduction scratch vector, grown to n
+// elements. The engine is confined to its rank's goroutine and runs one
+// collective at a time, so one vector serves every allreduce; a caller
+// must be done with it before the next call. Its contents are
+// unspecified.
+func (eng *engine) scratchF64(n int) []float64 {
+	if cap(eng.scratch) < n {
+		eng.scratch = make([]float64, n)
+	}
+	return eng.scratch[:n]
+}
+
 // foldToPow2 reduces the participant set to the largest power of two
 // r <= p using the standard MPICH pre-step: the first 2*(p-r) ranks pair
 // up, evens ship their vector to odds and sit out. It returns the
@@ -152,7 +164,6 @@ func (c *Comm) foldToPow2(op Op, acc []float64, tag int) (newRank, pow2 int, toR
 		r *= 2
 	}
 	rem := p - r
-	tmp := make([]float64, len(acc))
 	switch {
 	case c.rank < 2*rem && c.rank%2 == 0:
 		if err := c.sendInternal(c.rank+1, tag, f64bytes(acc)); err != nil {
@@ -160,6 +171,7 @@ func (c *Comm) foldToPow2(op Op, acc []float64, tag int) (newRank, pow2 int, toR
 		}
 		newRank = -1
 	case c.rank < 2*rem:
+		tmp := c.eng.scratchF64(len(acc))
 		if _, err := c.Recv(c.rank-1, tag, f64bytes(tmp)); err != nil {
 			return 0, 0, nil, err
 		}
@@ -203,7 +215,7 @@ func (c *Comm) allreduceRecDoubling(op Op, acc []float64, tag int) error {
 		return fmt.Errorf("mp: allreduce fold: %w", err)
 	}
 	if newRank >= 0 {
-		tmp := make([]float64, len(acc))
+		tmp := c.eng.scratchF64(len(acc))
 		round := 1
 		for mask := 1; mask < r; mask <<= 1 {
 			peer := toReal(newRank ^ mask)
@@ -232,7 +244,7 @@ func (c *Comm) allreduceRabenseifner(op Op, acc []float64, tag int) error {
 		n := len(acc)
 		// Block b of the r blocks spans [cut(b), cut(b+1)).
 		cut := func(b int) int { return b * n / r }
-		tmp := make([]float64, n)
+		tmp := c.eng.scratchF64(n)
 
 		// Reduce-scatter by recursive halving: at each round the
 		// active window [lo, hi) of blocks halves; this rank keeps
@@ -293,7 +305,7 @@ func (c *Comm) allreduceRing(op Op, acc []float64, tag int) error {
 	}
 	right := (c.rank + 1) % p
 	left := (c.rank - 1 + p) % p
-	tmp := make([]float64, n/p+1)
+	tmp := c.eng.scratchF64(n/p + 1)
 
 	// Reduce-scatter phase: after p-1 steps, rank r owns the fully
 	// reduced chunk (r+1) mod p.

@@ -6,8 +6,11 @@ import (
 )
 
 // InProcFabric connects n ranks inside one process through shared
-// mailboxes. Payloads are copied on Send so senders can immediately
-// reuse their buffers (MPI buffered-send semantics for the eager path).
+// mailboxes. A payload in Data is copied into a lent bounce buffer on
+// Send, so senders can immediately reuse their buffers (MPI
+// buffered-send semantics for the eager path); the receiver releases it
+// after copying it out. Rendezvous payloads are copied once, by the
+// sender, into the receive buffer the CTS lends (Packet.Into).
 type InProcFabric struct {
 	boxes []*mailbox
 	start time.Time
@@ -56,9 +59,7 @@ func (e *inprocEP) Send(dst int, pkt Packet) error {
 	pkt.Src = e.rank
 	if len(pkt.Data) > 0 {
 		// Copy: the sender owns its buffer again once Send returns.
-		buf := make([]byte, len(pkt.Data))
-		copy(buf, pkt.Data)
-		pkt.Data = buf
+		pkt.bounce()
 	}
 	if !e.f.boxes[dst].put(pkt) {
 		return ErrClosed

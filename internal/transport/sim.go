@@ -26,13 +26,20 @@ import (
 //
 // The receiver-side o is carried in the packet (RecvO) because the
 // receiving endpoint does not know the path class.
+//
+// s counts payload bytes whether they travel in the packet or were
+// placed in the receiver's buffer by the sender (a RndvData with only
+// Size), so both ways of moving a rendezvous payload cost the same
+// virtual time. Eager payloads are copied into lent bounce buffers (see
+// Packet.Release); rendezvous payloads are copied once, by the sender,
+// into the buffer the receiver's CTS lends.
 type SimFabric struct {
 	model  *cluster.Model
 	n      int
 	boxes  []*mailbox
 	clocks []simClock
-	nics   []nic // one per node: egress serialization point
-	paths  [][]cluster.LogGP
+	nics   []nic              // one per node: egress serialization point
+	locs   []cluster.Location // where each rank sits; paths are classified per Send
 }
 
 type simClock struct {
@@ -66,21 +73,17 @@ func NewSim(n int, model *cluster.Model) (*SimFabric, error) {
 		boxes:  make([]*mailbox, n),
 		clocks: make([]simClock, n),
 		nics:   make([]nic, model.Topo.Nodes),
-		paths:  make([][]cluster.LogGP, n),
+		locs:   make([]cluster.Location, n),
 	}
 	for i := range f.boxes {
 		f.boxes[i] = newMailbox()
 	}
-	// Precompute the path matrix so Send is just table lookups.
-	for a := 0; a < n; a++ {
-		f.paths[a] = make([]cluster.LogGP, n)
-		for b := 0; b < n; b++ {
-			p, _, err := model.PathBetween(a, b, n)
-			if err != nil {
-				return nil, err
-			}
-			f.paths[a][b] = p
+	for r := range f.locs {
+		loc, err := model.Topo.Place(r, n, model.Placement)
+		if err != nil {
+			return nil, err
 		}
+		f.locs[r] = loc
 	}
 	return f, nil
 }
@@ -104,11 +107,6 @@ func (f *SimFabric) Close() error {
 	return nil
 }
 
-func (f *SimFabric) nodeOf(rank int) int {
-	loc, _ := f.model.Topo.Place(rank, f.n, f.model.Placement)
-	return loc.Node
-}
-
 type simEP struct {
 	f    *SimFabric
 	rank int
@@ -121,8 +119,9 @@ func (e *simEP) Send(dst int, pkt Packet) error {
 	if dst < 0 || dst >= e.f.n {
 		return ErrBadRank
 	}
-	p := e.f.paths[e.rank][dst]
-	s := float64(len(pkt.Data))
+	src, to := e.f.locs[e.rank], e.f.locs[dst]
+	p := e.f.model.Links.For(cluster.Classify(src, to))
+	s := float64(pkt.PayloadLen())
 
 	clk := &e.f.clocks[e.rank]
 	clk.mu.Lock()
@@ -130,10 +129,9 @@ func (e *simEP) Send(dst int, pkt Packet) error {
 	clk.mu.Unlock()
 
 	inject := now + p.O
-	srcNode, dstNode := e.f.nodeOf(e.rank), e.f.nodeOf(dst)
-	if srcNode != dstNode {
+	if src.Node != to.Node {
 		// Inter-node messages serialize through the node's NIC.
-		n := &e.f.nics[srcNode]
+		n := &e.f.nics[src.Node]
 		n.mu.Lock()
 		if n.free > inject {
 			inject = n.free
@@ -148,10 +146,10 @@ func (e *simEP) Send(dst int, pkt Packet) error {
 	pkt.Arrival = inject + s*p.GB + p.L
 	pkt.RecvO = p.O
 	// Eager data lands in a bounce buffer and is copied out at match
-	// time; rendezvous payloads (RndvData) go straight to the posted
-	// buffer. The copy is charged at the node's memcpy bandwidth
-	// (the Self link's per-byte cost). This asymmetry is what creates
-	// the eager/rendezvous crossover (experiment F12).
+	// time; rendezvous payloads go straight to the posted buffer. The
+	// copy is charged at the node's memcpy bandwidth (the Self link's
+	// per-byte cost). This asymmetry is what creates the
+	// eager/rendezvous crossover (experiment F12).
 	if pkt.Type == Data {
 		pkt.RecvO += s * e.f.model.Links.Self.GB
 	}
@@ -166,9 +164,7 @@ func (e *simEP) Send(dst int, pkt Packet) error {
 	clk.mu.Unlock()
 
 	if len(pkt.Data) > 0 {
-		buf := make([]byte, len(pkt.Data))
-		copy(buf, pkt.Data)
-		pkt.Data = buf
+		pkt.bounce()
 	}
 	if !e.f.boxes[dst].put(pkt) {
 		return ErrClosed

@@ -21,6 +21,11 @@ import (
 // Wire format, little-endian:
 //
 //	[1B type][4B src][8B tag][8B ctx][8B seq][4B announced size][4B payload len][payload]
+//
+// Packet.Into is not encoded: a receive buffer cannot be lent across
+// the wire, so a CTS arrives without one and the sender ships the
+// rendezvous payload in RndvData. Incoming payloads are read into lent
+// bounce buffers (see Packet.Release).
 type TCPFabric struct {
 	n         int
 	boxes     []*mailbox
@@ -105,7 +110,7 @@ func (f *TCPFabric) readLoop(rank int, conn net.Conn) {
 		}
 		dataLen := int(binary.LittleEndian.Uint32(hdr[33:37]))
 		if dataLen > 0 {
-			pkt.Data = make([]byte, dataLen)
+			pkt.Data, pkt.lent = lendBuffer(dataLen)
 			if _, err := io.ReadFull(r, pkt.Data); err != nil {
 				return
 			}

@@ -32,9 +32,12 @@ const (
 	Data PacketType = iota
 	// RTS (request-to-send) announces a rendezvous message; no payload.
 	RTS
-	// CTS (clear-to-send) grants a rendezvous transfer; no payload.
+	// CTS (clear-to-send) grants a rendezvous transfer; no payload,
+	// but on the in-process fabrics it lends the receive buffer (Into).
 	CTS
-	// RndvData carries the payload of a granted rendezvous transfer.
+	// RndvData completes a granted rendezvous transfer. It carries the
+	// payload, or only its Size when the sender placed the payload in
+	// the CTS's Into buffer.
 	RndvData
 )
 
@@ -59,16 +62,42 @@ func (t PacketType) String() string {
 // Sim fabric, Arrival is the virtual time (seconds) at which the packet
 // reaches the receiver and RecvO the receiver-side CPU overhead to
 // charge; both are zero on real-time fabrics.
+//
+// A rendezvous payload moves in one of two ways. On the in-process
+// fabrics the receiver's CTS carries its posted buffer in Into, the
+// sender copies the payload straight into it, and the RndvData that
+// follows carries only Size. Into never crosses a wire, so on TCP it
+// arrives nil and the sender ships the payload in RndvData's Data.
 type Packet struct {
-	Type    PacketType
-	Src     int
-	Tag     int
-	Ctx     uint64 // communicator context id (0 = world)
-	Seq     uint64
-	Size    int // payload size announced by RTS (Data/RndvData use len(Data))
-	Data    []byte
+	Type PacketType
+	Src  int
+	Tag  int
+	Ctx  uint64 // communicator context id (0 = world)
+	Seq  uint64
+	// Size is the message size in bytes: the size RTS announces, and
+	// for a RndvData without Data the bytes already placed in the
+	// receiver's buffer. Data/RndvData packets that carry Data use
+	// len(Data); PayloadLen resolves the two.
+	Size int
+	Data []byte
+	// Into is the receiver's posted buffer, sent with a CTS on the
+	// in-process fabrics so the sender can place the payload directly.
+	// The receiver must not touch it until the RndvData arrives.
+	Into    []byte
 	Arrival float64
 	RecvO   float64
+
+	lent *[]byte // pool handle when Data is a lent bounce buffer
+}
+
+// PayloadLen returns the number of payload bytes the packet delivers:
+// len(Data), or Size for a RndvData whose payload the sender already
+// placed in the receiver's buffer.
+func (p *Packet) PayloadLen() int {
+	if p.Type == RndvData && p.Data == nil {
+		return p.Size
+	}
+	return len(p.Data)
 }
 
 // Endpoint is one rank's attachment to a fabric.
@@ -77,9 +106,11 @@ type Endpoint interface {
 	Rank() int
 	// Size returns the number of ranks on the fabric.
 	Size() int
-	// Send delivers pkt to dst. The payload is owned by the transport
-	// after the call returns (callers must not reuse pkt.Data unless
-	// they passed a private copy). Send never blocks on the receiver;
+	// Send delivers pkt to dst. The sender may reuse pkt.Data as soon
+	// as Send returns: a fabric copies or transmits the payload before
+	// returning and never keeps a reference to it. The receiver owns
+	// the delivered packet's Data and should Release it once it has
+	// copied the payload out. Send never blocks on the receiver;
 	// mailboxes are unbounded.
 	Send(dst int, pkt Packet) error
 	// Recv returns the next incoming packet, blocking if block is

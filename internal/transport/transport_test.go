@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -430,5 +431,106 @@ func TestMailboxCompaction(t *testing.T) {
 	}
 	if len(m.queue) > 200 {
 		t.Errorf("queue did not compact: len=%d", len(m.queue))
+	}
+}
+
+// TestSimPlacedRndvTimingMatchesShipped: a RndvData whose payload the
+// sender already placed in the receiver's buffer (only Size set) must
+// cost exactly what the same packet carrying the payload costs —
+// bit-identical Arrival, RecvO and sender clock — on an intra-node and
+// an inter-node path, and with the NIC already busy.
+func TestSimPlacedRndvTimingMatchesShipped(t *testing.T) {
+	m := cluster.IBCluster()
+	n := m.Topo.TotalCores()
+	const size = 100000
+	type stamp struct{ arrival, recvO, sender [2]uint64 }
+	run := func(dst int, placed bool) stamp {
+		fab, err := NewSim(n, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fab.Close()
+		e0, _ := fab.Endpoint(0)
+		eD, _ := fab.Endpoint(dst)
+		e0.AdvanceTo(1e-3)
+		var st stamp
+		for i := 0; i < 2; i++ { // the second send queues behind the first on the NIC
+			pkt := Packet{Type: RndvData, Seq: uint64(i), Size: size}
+			if !placed {
+				pkt.Data = make([]byte, size)
+			}
+			if err := e0.Send(dst, pkt); err != nil {
+				t.Fatal(err)
+			}
+			got, ok, _ := eD.Recv(true)
+			if !ok {
+				t.Fatal("no packet")
+			}
+			if got.PayloadLen() != size {
+				t.Fatalf("PayloadLen = %d, want %d", got.PayloadLen(), size)
+			}
+			st.arrival[i] = math.Float64bits(got.Arrival)
+			st.recvO[i] = math.Float64bits(got.RecvO)
+			st.sender[i] = math.Float64bits(e0.Now())
+		}
+		return st
+	}
+	for name, dst := range map[string]int{"intra-node": 1, "inter-node": n - 1} {
+		if placed, shipped := run(dst, true), run(dst, false); placed != shipped {
+			t.Errorf("%s: placed %+v, shipped %+v", name, placed, shipped)
+		}
+	}
+}
+
+// TestTCPDropsInto: a lent receive buffer cannot cross the wire, so a
+// CTS sent over TCP arrives without one.
+func TestTCPDropsInto(t *testing.T) {
+	fab, err := NewTCP(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fab.Close()
+	e0, _ := fab.Endpoint(0)
+	e1, _ := fab.Endpoint(1)
+	if err := e0.Send(1, Packet{Type: CTS, Seq: 4, Into: make([]byte, 64)}); err != nil {
+		t.Fatal(err)
+	}
+	pkt, ok, _ := e1.Recv(true)
+	if !ok || pkt.Type != CTS || pkt.Seq != 4 {
+		t.Fatalf("ok=%v pkt=%+v", ok, pkt)
+	}
+	if pkt.Into != nil {
+		t.Error("Into crossed the wire")
+	}
+}
+
+func TestReleaseOnlyLentBuffers(t *testing.T) {
+	for _, f := range fabrics() {
+		t.Run(f.name, func(t *testing.T) {
+			fab, err := f.mk(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fab.Close()
+			e0, _ := fab.Endpoint(0)
+			e1, _ := fab.Endpoint(1)
+			if err := e0.Send(1, Packet{Type: Data, Data: []byte("lent")}); err != nil {
+				t.Fatal(err)
+			}
+			pkt, ok, _ := e1.Recv(true)
+			if !ok || string(pkt.Data) != "lent" {
+				t.Fatalf("ok=%v data=%q", ok, pkt.Data)
+			}
+			pkt.Release()
+			if pkt.Data != nil {
+				t.Error("Data still set after Release")
+			}
+			pkt.Release() // a second release is a no-op
+		})
+	}
+	own := Packet{Type: Data, Data: []byte("mine")}
+	own.Release()
+	if string(own.Data) != "mine" {
+		t.Error("Release touched a buffer the transport did not lend")
 	}
 }
