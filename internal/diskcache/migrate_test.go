@@ -1,6 +1,6 @@
 // Entry format v2 tests: per-experiment selective invalidation on
-// Open, legacy-entry migration, and — extending the crash-scenario
-// suite — every state a crash mid-migration can leave behind. The
+// Open, the legacy-entry purge, and — extending the crash-scenario
+// suite — the states a crash mid-reconcile can leave behind. The
 // invariant under test throughout: a deploy invalidates exactly the
 // delta, and nothing a crash leaves on disk is ever served stale or
 // reported as corruption.
@@ -51,13 +51,6 @@ func writeMarker(t *testing.T, dir, fp string) {
 
 func perIDFingerprints(global string, ids map[string]string) Fingerprints {
 	return Fingerprints{Global: global, PerID: ids}
-}
-
-// migratingFPS is perIDFingerprints with the operator's registry-
-// neutral-upgrade assertion set, which the legacy-migration tests
-// need: without it legacy entries are purged, never rewritten.
-func migratingFPS(global string, ids map[string]string) Fingerprints {
-	return Fingerprints{Global: global, PerID: ids, MigrateLegacy: true}
 }
 
 // TestSelectiveInvalidationOnOpen is the tentpole behavior at the
@@ -113,71 +106,35 @@ func TestSameGenerationOpenPurgesNothing(t *testing.T) {
 	}
 }
 
-// TestLegacyEntryMigratedOnOpen: with the operator's MigrateLegacy
-// assertion, a pre-versioning entry matching the store's recorded old
-// generation is rewritten in the current format under its
-// experiment's fingerprint — and then HITS, where the old code would
-// have purged the store.
-func TestLegacyEntryMigratedOnOpen(t *testing.T) {
-	dir := t.TempDir()
-	writeLegacyEntry(t, dir, "legacy-gen", testKey, "v1 era result")
-	writeMarker(t, dir, "legacy-gen")
-
-	st := mustOpenFPS(t, dir, migratingFPS("gen2", map[string]string{"T1": "fpT1"}), 0)
-	if n := st.Migrated(); n != 1 {
-		t.Errorf("Migrated = %d, want 1", n)
-	}
-	if n := st.StalePurged(); n != 0 {
-		t.Errorf("StalePurged = %d, want 0 (migration is not a purge)", n)
-	}
-	if got, ok := st.Get(testKey); !ok || string(got.Body) != "v1 era result" {
-		t.Fatalf("migrated entry: ok=%v body=%q", ok, got.Body)
-	}
-	// The rewrite is durable: on disk, the entry now carries the
-	// current format and the per-experiment fingerprint.
-	b, err := os.ReadFile(filepath.Join(dir, entryName(testKey)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f fileEntry
-	if err := json.Unmarshal(b, &f); err != nil {
-		t.Fatal(err)
-	}
-	if f.Format != entryFormat || f.Fingerprint != "fpT1" {
-		t.Errorf("on-disk entry after migration: format=%d fp=%q, want format=%d fp=%q",
-			f.Format, f.Fingerprint, entryFormat, "fpT1")
-	}
-}
-
-// TestLegacyEntryPurgedWithoutOptIn pins the default migration
-// policy: a legacy entry carries only the whole-store fingerprint,
-// which cannot show whether THIS upgrade deploy changed its
-// experiment, so without the operator's MigrateLegacy assertion it is
-// purged as a format invalidation even when it matches the recorded
-// old generation — a cold start, never a potentially stale result.
+// TestLegacyEntryPurgedWithoutOptIn pins the legacy policy: a legacy
+// entry carries only the whole-store fingerprint, which cannot show
+// whether THIS upgrade deploy changed its experiment, so it is purged
+// as a format invalidation even when it matches the recorded old
+// generation — a cold start, never a potentially stale result.
 func TestLegacyEntryPurgedWithoutOptIn(t *testing.T) {
 	dir := t.TempDir()
 	writeLegacyEntry(t, dir, "legacy-gen", testKey, "cannot prove freshness")
 	writeMarker(t, dir, "legacy-gen")
 
 	st := mustOpenFPS(t, dir, perIDFingerprints("gen2", map[string]string{"T1": "fpT1"}), 0)
-	if n := st.Migrated(); n != 0 {
-		t.Errorf("Migrated = %d without opt-in, want 0", n)
-	}
 	if n := st.StalePurged(); n != 1 {
 		t.Errorf("StalePurged = %d, want 1", n)
 	}
+	form := obs.NewRegistry().Counter("inval", "", obs.L("reason", ReasonFormat))
+	st.SetMetrics(Metrics{InvalidatedFormat: form})
+	if got := form.Value(); got != 1 {
+		t.Errorf("format invalidations = %d, want 1 (legacy entries purge as reason=format)", got)
+	}
 	if _, ok := st.Get(testKey); ok {
-		t.Error("un-migratable legacy entry served")
+		t.Error("legacy entry served")
 	}
 }
 
 // TestRemovedExperimentEntriesPurged: with a per-experiment map, an
 // entry whose experiment is no longer registered must not survive the
 // reconcile by falling back to the global fingerprint — it is purged
-// as an experiment invalidation, whether current-format or legacy
-// (even under MigrateLegacy, which has no fingerprint to stamp it
-// with).
+// whether current-format (an experiment invalidation) or legacy (a
+// format invalidation).
 func TestRemovedExperimentEntriesPurged(t *testing.T) {
 	dir := t.TempDir()
 	keyDead := Key{ID: "GONE", Scale: "quick", ContentType: "text/plain"}
@@ -188,7 +145,7 @@ func TestRemovedExperimentEntriesPurged(t *testing.T) {
 	writeCurrentEntry(t, dir, "fpT1", keyLive, "still registered")
 	writeMarker(t, dir, "legacy-gen")
 
-	st := mustOpenFPS(t, dir, migratingFPS("gen2", map[string]string{"T1": "fpT1"}), 0)
+	st := mustOpenFPS(t, dir, perIDFingerprints("gen2", map[string]string{"T1": "fpT1"}), 0)
 	if n := st.StalePurged(); n != 2 {
 		t.Errorf("StalePurged = %d, want 2 (both dead-experiment entries)", n)
 	}
@@ -217,7 +174,7 @@ func TestLegacyEntryFromForeignGenerationPurged(t *testing.T) {
 	writeLegacyEntry(t, dir, "some-other-gen", testKey, "untrusted")
 	writeMarker(t, dir, "legacy-gen")
 
-	st := mustOpenFPS(t, dir, migratingFPS("gen2", nil), 0)
+	st := mustOpenFPS(t, dir, perIDFingerprints("gen2", nil), 0)
 	if n := st.StalePurged(); n != 1 {
 		t.Errorf("StalePurged = %d, want 1", n)
 	}
@@ -228,12 +185,12 @@ func TestLegacyEntryFromForeignGenerationPurged(t *testing.T) {
 
 // TestLegacyEntryWithoutMarkerPurged: with no recorded old generation
 // (first versioned open of a marker-less directory) legacy entries
-// have nothing to validate against and are purged, not migrated.
+// have nothing to validate against and are purged.
 func TestLegacyEntryWithoutMarkerPurged(t *testing.T) {
 	dir := t.TempDir()
 	writeLegacyEntry(t, dir, "legacy-gen", testKey, "unverifiable")
 
-	st := mustOpenFPS(t, dir, migratingFPS("gen2", nil), 0)
+	st := mustOpenFPS(t, dir, perIDFingerprints("gen2", nil), 0)
 	if n := st.StalePurged(); n != 1 {
 		t.Errorf("StalePurged = %d, want 1", n)
 	}
@@ -242,74 +199,50 @@ func TestLegacyEntryWithoutMarkerPurged(t *testing.T) {
 	}
 }
 
-// Crash-during-migration states. The migration writes the rewritten
-// entry to a temp file, fsyncs, renames, and only after the whole
-// reconcile writes the new FINGERPRINT marker — so a kill at any
-// instant leaves one of three states, each of which the next open
-// handles without serving stale bytes or reporting corruption.
+// Crash-during-reconcile states. Open removes entries one by one and
+// only after the whole reconcile writes the new FINGERPRINT marker —
+// so a kill at any instant leaves a mix of handled and unhandled
+// entries under the old marker, which the next open finishes without
+// serving stale bytes or reporting corruption.
 
-// State 1: killed before the rename — orphan temp file, legacy entry
-// intact, marker still old. The next open simply re-runs the
-// migration; the entry comes back as a HIT.
-func TestCrashBeforeMigrationRenameSelfHeals(t *testing.T) {
+// State 1: killed after some removals but before the marker — a
+// still-valid current-format entry, a legacy entry the killed reconcile
+// never reached, and a writer's orphan temp file. The next open keeps
+// the valid entry, purges the legacy one, and ends fully consistent: a
+// further open of the same generation purges nothing.
+func TestCrashMidReconcileResumesIdempotently(t *testing.T) {
 	dir := t.TempDir()
-	writeLegacyEntry(t, dir, "legacy-gen", testKey, "survives the crash")
+	fps := perIDFingerprints("gen2", map[string]string{"A": "fpA", "B": "fpB"})
+	keyA := Key{ID: "A", Scale: "quick", ContentType: "text/plain"}
+	keyB := Key{ID: "B", Scale: "quick", ContentType: "text/plain"}
+	writeCurrentEntry(t, dir, "fpA", keyA, "still valid")
+	writeLegacyEntry(t, dir, "legacy-gen", keyB, "still legacy")
 	writeMarker(t, dir, "legacy-gen")
-	// The killed writer's half-written temp.
 	if err := os.WriteFile(filepath.Join(dir, ".tmp-killed"), []byte(`{"format":2,"trunc`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	st := mustOpenFPS(t, dir, migratingFPS("gen2", map[string]string{"T1": "fpT1"}), 0)
-	if got, ok := st.Get(testKey); !ok || string(got.Body) != "survives the crash" {
-		t.Errorf("re-migrated entry: ok=%v body=%q", ok, got.Body)
-	}
-	if n := st.Migrated(); n != 1 {
-		t.Errorf("Migrated = %d, want 1", n)
-	}
-}
-
-// State 2: killed after some renames but before the marker — a mix of
-// migrated and legacy entries under the old marker. The next open
-// keeps the already-migrated (their per-experiment fingerprint
-// validates), migrates the rest, and ends fully consistent.
-func TestCrashMidReconcileResumesIdempotently(t *testing.T) {
-	dir := t.TempDir()
-	fps := migratingFPS("gen2", map[string]string{"A": "fpA", "B": "fpB"})
-	keyA := Key{ID: "A", Scale: "quick", ContentType: "text/plain"}
-	keyB := Key{ID: "B", Scale: "quick", ContentType: "text/plain"}
-	writeLegacyEntry(t, dir, "legacy-gen", keyB, "still legacy")
-	writeMarker(t, dir, "legacy-gen")
-	// A was already migrated before the kill: plant its current-format
-	// entry directly.
-	{
-		e := testEntry("already migrated")
-		f := fileEntry{Format: entryFormat, Fingerprint: "fpA", ID: keyA.ID, Scale: keyA.Scale,
-			ContentType: keyA.ContentType, ETag: e.ETag, ElapsedNS: int64(e.Elapsed),
-			SHA256: bodySum(e.Body), Body: e.Body}
-		b, err := json.Marshal(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, entryName(keyA)), append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	st := mustOpenFPS(t, dir, fps, 0)
-	if got, ok := st.Get(keyA); !ok || string(got.Body) != "already migrated" {
-		t.Errorf("pre-migrated entry: ok=%v body=%q", ok, got.Body)
+	if got, ok := st.Get(keyA); !ok || string(got.Body) != "still valid" {
+		t.Errorf("valid entry: ok=%v body=%q", ok, got.Body)
 	}
-	if got, ok := st.Get(keyB); !ok || string(got.Body) != "still legacy" {
-		t.Errorf("resumed-migration entry: ok=%v body=%q", ok, got.Body)
+	if _, ok := st.Get(keyB); ok {
+		t.Error("legacy entry served after the resumed reconcile")
 	}
-	if n := st.StalePurged(); n != 0 {
-		t.Errorf("StalePurged = %d, want 0", n)
+	if n := st.StalePurged(); n != 1 {
+		t.Errorf("StalePurged = %d, want 1 (the legacy entry)", n)
+	}
+	st2 := mustOpenFPS(t, dir, fps, 0)
+	if n := st2.StalePurged(); n != 0 {
+		t.Errorf("StalePurged = %d on the next same-generation open, want 0", n)
+	}
+	if got, ok := st2.Get(keyA); !ok || string(got.Body) != "still valid" {
+		t.Errorf("valid entry after reopen: ok=%v body=%q", ok, got.Body)
 	}
 }
 
-// State 3: the legacy entry itself is truncated (external corruption
-// discovered during migration). The next open drops it as a checksum
+// State 2: the legacy entry itself is truncated (external corruption
+// discovered during reconcile). The next open drops it as a checksum
 // invalidation — a MISS, never a parse error surfaced to callers.
 func TestCrashLeavesTruncatedLegacyEntryReadsAsMiss(t *testing.T) {
 	dir := t.TempDir()
@@ -324,7 +257,7 @@ func TestCrashLeavesTruncatedLegacyEntryReadsAsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := mustOpenFPS(t, dir, migratingFPS("gen2", nil), 0)
+	st := mustOpenFPS(t, dir, perIDFingerprints("gen2", nil), 0)
 	if _, ok := st.Get(testKey); ok {
 		t.Error("truncated legacy entry served")
 	}

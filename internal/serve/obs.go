@@ -201,36 +201,39 @@ func (s *Server) EnablePprof() {
 	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }
 
-// statusWriter captures the status code and body size a handler
-// produced, for the request metrics and access log.
-type statusWriter struct {
+// StatusWriter captures the status code and body size a handler
+// produced, for the request metrics and access log. The daemon and
+// the router tier both wrap their handlers in it.
+type StatusWriter struct {
 	http.ResponseWriter
-	code  int
-	bytes int64
+	Code  int
+	Bytes int64
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
+func (w *StatusWriter) WriteHeader(code int) {
+	w.Code = code
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *statusWriter) Write(p []byte) (int, error) {
+func (w *StatusWriter) Write(p []byte) (int, error) {
 	n, err := w.ResponseWriter.Write(p)
-	w.bytes += int64(n)
+	w.Bytes += int64(n)
 	return n, err
 }
 
 // Flush passes the streaming capability through the wrapper — without
-// it the SSE handler would see no http.Flusher and refuse to stream.
-func (w *statusWriter) Flush() {
+// it the SSE handler (and the router's proxy of it) would see no
+// http.Flusher and refuse to stream.
+func (w *StatusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
 }
 
-// handlerLabel maps a request path to a bounded metric label — never
-// the raw path, whose cardinality is caller-controlled.
-func handlerLabel(path string) string {
+// HandlerLabel maps a request path to a bounded metric label — never
+// the raw path, whose cardinality is caller-controlled. The router
+// tier labels with it too, so dashboards join across the tiers.
+func HandlerLabel(path string) string {
 	switch {
 	case path == "/healthz":
 		return "healthz"
@@ -261,19 +264,19 @@ func handlerLabel(path string) string {
 
 // observe records one finished request into the metrics and the
 // access log.
-func (s *Server) observe(r *http.Request, sw *statusWriter, rid string, t0 time.Time) {
-	handler := handlerLabel(r.URL.Path)
+func (s *Server) observe(r *http.Request, sw *StatusWriter, rid string, t0 time.Time) {
+	handler := HandlerLabel(r.URL.Path)
 	elapsed := time.Since(t0)
 	s.m.reg.Counter("charhpc_requests_total", "HTTP requests served",
-		obs.L("handler", handler), obs.L("code", strconv.Itoa(sw.code))).Inc()
+		obs.L("handler", handler), obs.L("code", strconv.Itoa(sw.Code))).Inc()
 	s.m.reg.Histogram("charhpc_request_seconds", "HTTP request latency", nil,
 		obs.L("handler", handler)).Observe(elapsed.Seconds())
 	s.accessLog.Info("request",
 		"request_id", rid,
 		"method", r.Method,
 		"path", r.URL.RequestURI(),
-		"status", sw.code,
-		"bytes", sw.bytes,
+		"status", sw.Code,
+		"bytes", sw.Bytes,
 		"elapsed_ms", float64(elapsed.Microseconds())/1e3,
 		"remote", r.RemoteAddr,
 	)

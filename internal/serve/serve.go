@@ -250,7 +250,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rid = obs.NewRequestID()
 	}
 	w.Header().Set("X-Request-ID", rid)
-	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+	sw := &StatusWriter{ResponseWriter: w, Code: http.StatusOK}
 	s.mux.ServeHTTP(sw, r)
 	s.observe(r, sw, rid, t0)
 }

@@ -2,11 +2,16 @@
 // behind the single-daemon API. Requests for one cache key always
 // land on the same shard (consistent hashing on (id, scale,
 // platform)), so each shard's memory/disk cache stays hot for its
-// slice; a request whose shard fails at the transport is re-routed to
-// the next live ring successor and re-run there (the failover
-// counter records it). Responses are proxied byte-for-byte — body,
-// status, ETags — so a client cannot tell the router from a single
-// daemon.
+// slice. Every proxied request goes through one standard-library
+// httputil.ReverseProxy whose Transport is the failover walk: a
+// request whose shard fails at the transport is re-routed to the next
+// ring successor and re-run there (the failover counter records it),
+// always before any response byte reaches the client. Responses are
+// proxied byte-for-byte — body, status, ETags — so a client cannot
+// tell the router from a single daemon. Hop-by-hop headers
+// (Connection and the headers it names, Keep-Alive, TE,
+// Proxy-Authorization, …) stay on their own hop in both directions,
+// as RFC 7230 §6.1 requires, and SSE streams are flushed per chunk.
 package shard
 
 import (
@@ -16,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httputil"
 	"net/url"
 	"strconv"
 	"strings"
@@ -37,11 +43,10 @@ const (
 	codeBadRequest     = "bad_request"
 )
 
-// DefaultMaxJobRoutes bounds the router's job→shard routing table
-// when Config leaves it zero. Entries past it evict oldest-first; an
-// evicted (or never-seen) job is re-located by probing the live
-// shards, so the bound trades a little lookup latency for memory, not
-// correctness.
+// DefaultMaxJobRoutes bounds the router's job→shard routing table.
+// Entries past it evict oldest-first; an evicted (or never-seen) job
+// is re-located by probing the live shards, so the bound trades a
+// little lookup latency for memory, not correctness.
 const DefaultMaxJobRoutes = 4096
 
 // maxRunBody bounds a POST /runs body (the run parameters travel in
@@ -69,26 +74,6 @@ type Config struct {
 	HealthInterval time.Duration
 	HealthTimeout  time.Duration
 
-	// Client is the proxy transport. Nil gets a client with no global
-	// timeout (blocking GETs and SSE streams legitimately run long)
-	// over a transport with enough idle connections per shard to keep
-	// a hot pool's connections alive.
-	Client *http.Client
-
-	// MaxJobRoutes bounds the job→shard routing table; 0 means
-	// DefaultMaxJobRoutes.
-	MaxJobRoutes int
-
-	// MaxPlatformBody bounds POST /platforms request bodies in bytes;
-	// 0 means serve.DefaultMaxPlatformBody — the same limit the
-	// shards enforce.
-	MaxPlatformBody int64
-
-	// Metrics, when non-nil, is the registry the router's instruments
-	// live in. Nil gets a private registry. GET /metrics serves it
-	// either way.
-	Metrics *obs.Registry
-
 	// AccessLog, when non-nil, receives one structured line per
 	// routed request. A nil *obs.Logger is also safe.
 	AccessLog *obs.Logger
@@ -100,6 +85,7 @@ type Router struct {
 	ring   *Ring
 	hc     *health
 	client *http.Client
+	rp     *httputil.ReverseProxy
 	mux    *http.ServeMux
 	jobs   *jobTable
 	log    *obs.Logger
@@ -129,7 +115,8 @@ func (rt *Router) Stats() Stats {
 	}
 }
 
-// Registry returns the router's metric registry.
+// Registry returns the router's metric registry (private to the
+// router; GET /metrics serves it).
 func (rt *Router) Registry() *obs.Registry { return rt.reg }
 
 // New builds a Router over the given shard pool and starts its health
@@ -161,37 +148,27 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("shard: no shards configured")
 	}
 
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		}}
+	// No global timeout: blocking GETs and SSE streams legitimately
+	// run long. Enough idle connections per shard keep a hot pool's
+	// connections alive.
+	client := &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        256,
+		MaxIdleConnsPerHost: 64,
+		IdleConnTimeout:     90 * time.Second,
+	}}
+	reg := obs.NewRegistry()
+	if cfg.HealthInterval <= 0 {
+		cfg.HealthInterval = DefaultHealthInterval
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
+	if cfg.HealthTimeout <= 0 {
+		cfg.HealthTimeout = DefaultHealthTimeout
 	}
-	interval := cfg.HealthInterval
-	if interval <= 0 {
-		interval = DefaultHealthInterval
-	}
-	timeout := cfg.HealthTimeout
-	if timeout <= 0 {
-		timeout = DefaultHealthTimeout
-	}
-	maxRoutes := cfg.MaxJobRoutes
-	if maxRoutes <= 0 {
-		maxRoutes = DefaultMaxJobRoutes
-	}
-
 	rt := &Router{
 		cfg:    cfg,
 		ring:   NewRing(cfg.VNodes),
 		client: client,
 		mux:    http.NewServeMux(),
-		jobs:   newJobTable(maxRoutes),
+		jobs:   newJobTable(DefaultMaxJobRoutes),
 		log:    cfg.AccessLog,
 		start:  time.Now(),
 		reg:    reg,
@@ -204,10 +181,19 @@ func New(cfg Config) (*Router, error) {
 		warmRunning: reg.Gauge("charhpc_router_warm_running",
 			"1 while a fan-out warm-up is in flight"),
 	}
+	rt.rp = &httputil.ReverseProxy{
+		// The failover transport picks the shard per attempt; path and
+		// query go through untouched.
+		Rewrite:        func(*httputil.ProxyRequest) {},
+		Transport:      failover{rt},
+		ModifyResponse: rt.modifyResponse,
+		ErrorHandler:   rt.proxyError,
+		BufferPool:     proxyBuffers,
+	}
 	for _, s := range shards {
 		rt.ring.Add(s)
 	}
-	rt.hc = newHealth(shards, client, interval, timeout, func(shard string, up bool) {
+	rt.hc = newHealth(shards, client, cfg.HealthInterval, cfg.HealthTimeout, func(shard string, up bool) {
 		rt.log.Info("shard health change", "shard", shard, "up", up)
 	})
 	for _, s := range shards {
@@ -258,21 +244,28 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		r.Header.Set("X-Request-ID", rid)
 	}
 	w.Header().Set("X-Request-ID", rid)
-	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+	sw := &serve.StatusWriter{ResponseWriter: w, Code: http.StatusOK}
+	// Deferred: the proxy aborts a stream whose client went away with
+	// a panic, and that request still gets its metrics and log line.
+	defer rt.observe(r, sw, rid, t0)
 	rt.mux.ServeHTTP(sw, r)
+}
 
-	handler := handlerLabel(r.URL.Path)
+// observe records one finished request into the router's metrics and
+// access log.
+func (rt *Router) observe(r *http.Request, sw *serve.StatusWriter, rid string, t0 time.Time) {
+	handler := serve.HandlerLabel(r.URL.Path)
 	elapsed := time.Since(t0)
 	rt.reg.Counter("charhpc_router_requests_total", "requests routed, by handler and status code",
-		obs.L("handler", handler), obs.L("code", strconv.Itoa(sw.code))).Inc()
+		obs.L("handler", handler), obs.L("code", strconv.Itoa(sw.Code))).Inc()
 	rt.reg.Histogram("charhpc_router_proxy_seconds", "routed request latency, shard hop included", nil,
 		obs.L("handler", handler)).Observe(elapsed.Seconds())
 	rt.log.Info("routed",
 		"request_id", rid,
 		"method", r.Method,
 		"path", r.URL.RequestURI(),
-		"status", sw.code,
-		"bytes", sw.bytes,
+		"status", sw.Code,
+		"bytes", sw.Bytes,
 		"elapsed_ms", float64(elapsed.Microseconds())/1e3,
 		"remote", r.RemoteAddr,
 	)
@@ -336,7 +329,7 @@ func (rt *Router) anyTargets() []string {
 
 // handleAny proxies a keyless read to any live shard.
 func (rt *Router) handleAny(w http.ResponseWriter, r *http.Request) {
-	rt.proxy(w, r, rt.anyTargets(), nil, nil)
+	rt.proxy(w, r, &route{targets: rt.anyTargets()})
 }
 
 // handleExperiment validates the blocking GET locally — 404/400/403
@@ -351,7 +344,7 @@ func (rt *Router) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := Key(id, req.Scale.String(), req.Platform)
-	rt.proxy(w, r, rt.candidates(key), nil, nil)
+	rt.proxy(w, r, &route{targets: rt.candidates(key)})
 }
 
 // deferToShard reports whether a local validation failure should be
@@ -383,17 +376,24 @@ func (rt *Router) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := Key(id, req.Scale.String(), req.Platform)
-	rt.proxy(w, r, rt.candidates(key), body, func(target string, status int, respBody []byte) {
-		if status != http.StatusAccepted {
-			return
+	rt.proxy(w, r, &route{targets: rt.candidates(key), body: body, onResponse: func(target string, resp *http.Response) error {
+		if resp.StatusCode != http.StatusAccepted {
+			return nil
 		}
+		respBody, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return err
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(respBody))
 		var sub struct {
 			Job string `json:"job"`
 		}
 		if json.Unmarshal(respBody, &sub) == nil && sub.Job != "" {
 			rt.jobs.put(sub.Job, target)
 		}
-	})
+		return nil
+	}})
 }
 
 // runParam reads one POST /runs parameter the way the shard's
@@ -424,10 +424,10 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		// No live shard knows it: any shard's own 404 envelope is the
 		// canonical answer, byte-identical to the single-daemon one.
-		rt.proxy(w, r, rt.anyTargets(), nil, nil)
+		rt.proxy(w, r, &route{targets: rt.anyTargets()})
 		return
 	}
-	rt.proxy(w, r, []string{target}, nil, nil)
+	rt.proxy(w, r, &route{targets: []string{target}})
 }
 
 // findJob locates a job the routing table has no entry for (the
@@ -438,7 +438,7 @@ func (rt *Router) findJob(ctx context.Context, job string) (string, bool) {
 		if !rt.hc.isUp(s) {
 			continue
 		}
-		probeCtx, cancel := context.WithTimeout(ctx, rt.probeTimeout())
+		probeCtx, cancel := context.WithTimeout(ctx, rt.cfg.HealthTimeout)
 		req, err := http.NewRequestWithContext(probeCtx, http.MethodGet, s+"/runs/"+url.PathEscape(job), nil)
 		if err != nil {
 			cancel()
@@ -458,13 +458,6 @@ func (rt *Router) findJob(ctx context.Context, job string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-func (rt *Router) probeTimeout() time.Duration {
-	if rt.cfg.HealthTimeout > 0 {
-		return rt.cfg.HealthTimeout
-	}
-	return DefaultHealthTimeout
 }
 
 // handleJobList merges every live shard's GET /runs into one JSON
@@ -511,20 +504,16 @@ func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 // then registered on the remaining shards and in the router's own
 // process, so later ?platform= validation resolves the name locally.
 func (rt *Router) handlePlatformRegister(w http.ResponseWriter, r *http.Request) {
-	limit := rt.cfg.MaxPlatformBody
-	if limit <= 0 {
-		limit = serve.DefaultMaxPlatformBody
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.DefaultMaxPlatformBody))
 	if err != nil {
 		serve.WriteAPIError(w, r, &serve.APIError{
 			Status: http.StatusRequestEntityTooLarge, Code: "body_too_large",
-			Message: fmt.Sprintf("platform spec exceeds the %d-byte limit", limit)})
+			Message: fmt.Sprintf("platform spec exceeds the %d-byte limit", serve.DefaultMaxPlatformBody)})
 		return
 	}
-	rt.proxy(w, r, rt.anyTargets(), body, func(target string, status int, respBody []byte) {
-		if status != http.StatusCreated && status != http.StatusOK {
-			return
+	rt.proxy(w, r, &route{targets: rt.anyTargets(), body: body, onResponse: func(target string, resp *http.Response) error {
+		if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
+			return nil
 		}
 		// Mirror the registration into this process (router-side
 		// validation of future requests naming the custom)...
@@ -542,7 +531,8 @@ func (rt *Router) handlePlatformRegister(w http.ResponseWriter, r *http.Request)
 				rt.log.Error("platform fan-out failed", "shard", s, "error", err.Error())
 			}
 		}
-	})
+		return nil
+	}})
 }
 
 // fanOutPlatform re-POSTs one platform spec to one shard.
@@ -566,67 +556,100 @@ func (rt *Router) fanOutPlatform(r *http.Request, target string, body []byte) er
 	return nil
 }
 
-// proxy forwards the request to the first candidate that answers,
-// re-routing to the next on transport failure (the failover path; a
-// response from a shard — any status — is final and copied through
-// byte-for-byte). body, when non-nil, is the replayable request body.
-// onResponse, when non-nil, buffers the response to observe it before
-// writing (used to learn job→shard routes); leave it nil on paths
-// that stream.
-func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, targets []string, body []byte, onResponse func(target string, status int, body []byte)) {
-	if len(targets) == 0 {
+// route is one proxied request's routing state, carried in its
+// context from the handler to the failover transport and
+// modifyResponse.
+type route struct {
+	targets []string // candidate shards, in failover order
+	body    []byte   // buffered request body, replayed per attempt; nil sends none
+
+	// onResponse, when non-nil, observes the shard's response before
+	// any of it reaches the client (used to learn job→shard routes and
+	// mirror platform registrations). An error answers 502.
+	onResponse func(target string, resp *http.Response) error
+
+	target string // the shard that answered, set by failover
+}
+
+type routeKey struct{}
+
+// proxy forwards the request through the router's ReverseProxy to the
+// first of rte's candidates that answers.
+func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, rte *route) {
+	if len(rte.targets) == 0 {
 		serve.WriteAPIError(w, r, &serve.APIError{
 			Status: http.StatusServiceUnavailable, Code: codeNoLiveShard,
 			Message: "no shard is configured to serve this request",
 			Hint:    "GET /healthz reports per-shard liveness"})
 		return
 	}
+	rt.rp.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), routeKey{}, rte)))
+}
+
+// failover is the proxy's Transport: it walks the request's
+// candidates in order and returns the first response — any status is
+// final — re-routing to the next candidate only on a transport error
+// (the failover path). The outbound headers, X-Request-ID included,
+// are the proxy's hop-by-hop-stripped copy of the inbound ones, so
+// the shard logs the same request ID the router did.
+type failover struct{ rt *Router }
+
+func (f failover) RoundTrip(out *http.Request) (*http.Response, error) {
+	rt, rte := f.rt, out.Context().Value(routeKey{}).(*route)
 	var lastErr error
-	for i, target := range targets {
-		resp, err := rt.send(r, target, body)
+	for i, target := range rte.targets {
+		req, err := http.NewRequestWithContext(out.Context(), out.Method,
+			target+out.URL.RequestURI(), bytes.NewReader(rte.body))
 		if err != nil {
-			// A canceled client is not a shard failure: stop, don't
-			// fail the pool over it.
-			if r.Context().Err() != nil {
-				return
-			}
-			lastErr = err
-			rt.routed(target, "error")
-			rt.hc.set(target, false)
-			if i+1 < len(targets) {
-				rt.failovers.Inc()
-				rt.log.Info("failover", "shard", target, "error", err.Error(), "next", targets[i+1])
-			}
-			continue
+			return nil, err
 		}
-		rt.routed(target, "ok")
-		rt.copyResponse(w, resp, onResponse, target)
+		req.Header = out.Header
+		resp, err := rt.client.Do(req)
+		if err == nil {
+			rt.routed(target, "ok")
+			rte.target = target
+			return resp, nil
+		}
+		// A canceled client is not a shard failure: stop, don't fail
+		// the pool over it.
+		if out.Context().Err() != nil {
+			return nil, err
+		}
+		lastErr = err
+		rt.routed(target, "error")
+		rt.hc.set(target, false)
+		if i+1 < len(rte.targets) {
+			rt.failovers.Inc()
+			rt.log.Info("failover", "shard", target, "error", err.Error(), "next", rte.targets[i+1])
+		}
+	}
+	return nil, lastErr
+}
+
+// modifyResponse runs on the shard's response before any of it is
+// written. The router already set the client's X-Request-ID (the
+// shard echoes the same value), so the shard's copy is dropped and
+// the client sees exactly one.
+func (rt *Router) modifyResponse(resp *http.Response) error {
+	resp.Header.Del("X-Request-Id")
+	rte := resp.Request.Context().Value(routeKey{}).(*route)
+	if rte.onResponse == nil {
+		return nil
+	}
+	return rte.onResponse(rte.target, resp)
+}
+
+// proxyError answers a request every candidate shard failed with the
+// router's 502 envelope — unless the client went away, in which case
+// there is nobody to answer.
+func (rt *Router) proxyError(w http.ResponseWriter, r *http.Request, err error) {
+	if r.Context().Err() != nil {
 		return
 	}
 	serve.WriteAPIError(w, r, &serve.APIError{
 		Status: http.StatusBadGateway, Code: codeUpstreamFailed,
-		Message: fmt.Sprintf("every candidate shard failed (last: %v)", lastErr),
+		Message: fmt.Sprintf("every candidate shard failed (last: %v)", err),
 		Hint:    "GET /healthz reports per-shard liveness"})
-}
-
-// send builds and performs the outbound request for one target. The
-// inbound headers — X-Request-ID included — are copied through, so
-// the shard logs the same request ID the router did.
-func (rt *Router) send(r *http.Request, target string, body []byte) (*http.Response, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	out, err := http.NewRequestWithContext(r.Context(), r.Method, target+r.URL.RequestURI(), rd)
-	if err != nil {
-		return nil, err
-	}
-	for k, vv := range r.Header {
-		for _, v := range vv {
-			out.Header.Add(k, v)
-		}
-	}
-	return rt.client.Do(out)
 }
 
 // routed counts one routed request by shard and outcome.
@@ -636,61 +659,13 @@ func (rt *Router) routed(target, outcome string) {
 		obs.L("shard", target), obs.L("outcome", outcome)).Inc()
 }
 
-// copyResponse relays one shard response: headers, status, body. SSE
-// bodies are flushed per chunk so progress frames reach the client as
-// the shard emits them, never held in a proxy buffer.
-func (rt *Router) copyResponse(w http.ResponseWriter, resp *http.Response, onResponse func(string, int, []byte), target string) {
-	defer resp.Body.Close()
-	h := w.Header()
-	for k, vv := range resp.Header {
-		// Ours is already set from the inbound request — same value,
-		// since the shard echoes what the router sent.
-		if http.CanonicalHeaderKey(k) == "X-Request-Id" {
-			continue
-		}
-		for _, v := range vv {
-			h.Add(k, v)
-		}
-	}
-	if onResponse != nil {
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return
-		}
-		onResponse(target, resp.StatusCode, body)
-		w.WriteHeader(resp.StatusCode)
-		w.Write(body)
-		return
-	}
-	w.WriteHeader(resp.StatusCode)
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
-		flushCopy(w, resp.Body)
-		return
-	}
-	io.Copy(w, resp.Body)
-}
+// bufferPool recycles the proxy's body-copy buffers across requests.
+type bufferPool struct{ sync.Pool }
 
-// flushCopy streams body to w, flushing after every chunk — the
-// proxied half of the SSE contract (the shard flushes per event, so
-// chunks arrive event-aligned).
-func flushCopy(w http.ResponseWriter, body io.Reader) {
-	fl, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			if fl != nil {
-				fl.Flush()
-			}
-		}
-		if err != nil {
-			return
-		}
-	}
-}
+func (p *bufferPool) Get() []byte  { return p.Pool.Get().([]byte) }
+func (p *bufferPool) Put(b []byte) { p.Pool.Put(b) }
+
+var proxyBuffers = &bufferPool{sync.Pool{New: func() any { return make([]byte, 32<<10) }}}
 
 // jobTable is the bounded job→shard routing memory: which shard
 // accepted each submitted job, evicted oldest-first past max. A miss
@@ -724,57 +699,4 @@ func (t *jobTable) get(job string) (string, bool) {
 	defer t.mu.Unlock()
 	s, ok := t.m[job]
 	return s, ok
-}
-
-// statusWriter captures the status code and body size for the
-// router's metrics and access log, passing Flush through for SSE.
-type statusWriter struct {
-	http.ResponseWriter
-	code  int
-	bytes int64
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += int64(n)
-	return n, err
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// handlerLabel maps a request path to a bounded metric label (the
-// same vocabulary internal/serve uses, so dashboards join across the
-// tiers).
-func handlerLabel(path string) string {
-	switch {
-	case path == "/healthz":
-		return "healthz"
-	case path == "/metrics":
-		return "metrics"
-	case strings.HasPrefix(path, "/debug/"):
-		return "debug"
-	case path == "/experiments":
-		return "experiments_list"
-	case strings.HasPrefix(path, "/experiments/"):
-		return "experiment_get"
-	case strings.HasPrefix(path, "/platforms"):
-		return "platforms"
-	case path == "/runs":
-		return "runs"
-	case strings.HasPrefix(path, "/runs/") && strings.HasSuffix(path, "/events"):
-		return "run_events"
-	case strings.HasPrefix(path, "/runs/"):
-		return "run_get"
-	default:
-		return "other"
-	}
 }

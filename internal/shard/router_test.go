@@ -1,7 +1,7 @@
 // Router tests: byte-identity of routed vs direct responses, routing
-// stickiness, health-checked failover, request-ID propagation, job
-// and platform fan-out, the fan-out warm-up's ring partition, and the
-// SSE proxy contract.
+// stickiness, health-checked failover, request-ID propagation,
+// hop-by-hop header stripping, job and platform fan-out, the fan-out
+// warm-up's ring partition, and the SSE proxy contract.
 package shard
 
 import (
@@ -264,6 +264,41 @@ func TestFailover(t *testing.T) {
 	}
 }
 
+// TestConcurrentRoutedRequests drives the one shared proxy — its
+// failover transport and copy-buffer pool — from many request
+// goroutines at once while a dead shard's keys fail over; every answer
+// must still be the direct bytes. Meant for -race.
+func TestConcurrentRoutedRequests(t *testing.T) {
+	p := newTestPool(t, 3, Config{HealthInterval: time.Hour}, nil)
+	ids := []string{"T1", "T2", "T3", "M3", "M4", "M5"}
+	want := map[string]string{}
+	for _, id := range ids {
+		_, body := get(t, p.urls[0]+"/experiments/"+id, nil)
+		want[id] = string(body)
+	}
+	p.shards[2].Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, id := range ids {
+				resp, err := http.Get(p.proxy.URL + "/experiments/" + id)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || string(body) != want[id] {
+					t.Errorf("%s: %d %q (read err %v), want the direct bytes", id, resp.StatusCode, body, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestAllShardsDown pins the end of the failover chain: every
 // candidate failing yields the router's 502 upstream_failed envelope
 // in the service's error shape.
@@ -351,6 +386,66 @@ func TestRequestIDPropagation(t *testing.T) {
 	mu.Unlock()
 	if !found {
 		t.Errorf("shard did not receive the minted ID %q", minted)
+	}
+}
+
+// TestHopByHopHeadersStripped pins RFC 7230 §6.1 at the router hop:
+// connection-scoped headers — whatever Connection names, Keep-Alive,
+// TE, Proxy-Authorization — cross neither from the client to the
+// shard nor from the shard back to the client, and the routed
+// response carries exactly one X-Request-ID.
+func TestHopByHopHeadersStripped(t *testing.T) {
+	var mu sync.Mutex
+	var shardSaw []http.Header
+	p := newTestPool(t, 2, Config{}, func(_ int, next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/healthz" {
+				mu.Lock()
+				shardSaw = append(shardSaw, r.Header.Clone())
+				mu.Unlock()
+			}
+			w.Header().Set("Connection", "X-Shard-Hop")
+			w.Header().Set("X-Shard-Hop", "1")
+			w.Header().Set("Keep-Alive", "timeout=5")
+			next.ServeHTTP(w, r)
+		})
+	})
+
+	resp, _ := get(t, p.proxy.URL+"/experiments/T1", map[string]string{
+		"Connection":          "X-Client-Hop",
+		"X-Client-Hop":        "1",
+		"Keep-Alive":          "timeout=5",
+		"TE":                  "gzip",
+		"Proxy-Authorization": "Basic c2VjcmV0",
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("routed GET: %d", resp.StatusCode)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(shardSaw) == 0 {
+		t.Fatal("no shard saw the routed request")
+	}
+	for _, h := range shardSaw {
+		for _, name := range []string{"X-Client-Hop", "Keep-Alive", "Te", "Proxy-Authorization"} {
+			if v := h.Values(name); len(v) > 0 {
+				t.Errorf("client hop-by-hop header %s crossed to the shard: %q", name, v)
+			}
+		}
+		if c := h.Get("Connection"); strings.Contains(c, "X-Client-Hop") {
+			t.Errorf("client Connection %q crossed to the shard", c)
+		}
+	}
+	for _, name := range []string{"X-Shard-Hop", "Keep-Alive"} {
+		if v := resp.Header.Values(name); len(v) > 0 {
+			t.Errorf("shard hop-by-hop header %s crossed to the client: %q", name, v)
+		}
+	}
+	if c := resp.Header.Get("Connection"); strings.Contains(c, "X-Shard-Hop") {
+		t.Errorf("shard Connection %q crossed to the client", c)
+	}
+	if got := resp.Header.Values("X-Request-Id"); len(got) != 1 {
+		t.Errorf("routed response X-Request-ID = %q, want exactly one value", got)
 	}
 }
 
@@ -520,6 +615,22 @@ func TestPlatformFanout(t *testing.T) {
 	gresp, gbody := get(t, p.proxy.URL+"/experiments/T1?platform="+url.QueryEscape(reg.Name), nil)
 	if gresp.StatusCode != http.StatusOK {
 		t.Fatalf("GET with registered custom: %d %s", gresp.StatusCode, gbody)
+	}
+
+	// A routed platform read is labelled with serve's vocabulary, so
+	// dashboards join the router's and the shards' request metrics.
+	if presp, pbody := get(t, p.proxy.URL+"/platforms/"+url.PathEscape(reg.Name), nil); presp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /platforms/%s: %d %s", reg.Name, presp.StatusCode, pbody)
+	}
+	_, mbody := get(t, p.proxy.URL+"/metrics", nil)
+	labelled := false
+	for _, line := range strings.Split(string(mbody), "\n") {
+		if strings.HasPrefix(line, "charhpc_router_requests_total{") && strings.Contains(line, `handler="platform_get"`) {
+			labelled = true
+		}
+	}
+	if !labelled {
+		t.Error(`no charhpc_router_requests_total{handler="platform_get"} series after a routed GET /platforms/{name}`)
 	}
 }
 
