@@ -77,9 +77,10 @@ func BenchmarkM6PlacementCurve(b *testing.B) { benchExperiment(b, "M6") }
 // Platform-qualified targets: the same experiments restricted to one
 // preset via the request axis, so the per-platform cost is tracked in
 // the bench trajectory alongside the default-set cost.
-func BenchmarkT1OnGigE8n(b *testing.B) { benchExperimentOn(b, "T1", "gige-8n") }
-func BenchmarkM3OnBGP64n(b *testing.B) { benchExperimentOn(b, "M3", "bgp-64n") }
-func BenchmarkM5OnFat1n(b *testing.B)  { benchExperimentOn(b, "M5", "fat-1n") }
+func BenchmarkT1OnGigE8n(b *testing.B)  { benchExperimentOn(b, "T1", "gige-8n") }
+func BenchmarkM3OnBGP64n(b *testing.B)  { benchExperimentOn(b, "M3", "bgp-64n") }
+func BenchmarkM5OnFat1n(b *testing.B)   { benchExperimentOn(b, "M5", "fat-1n") }
+func BenchmarkF14OnBGP64n(b *testing.B) { benchExperimentOn(b, "F14", "bgp-64n") }
 
 // --- substrate micro-benchmarks ---
 

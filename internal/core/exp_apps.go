@@ -47,9 +47,8 @@ func runF14(w io.Writer, r Request) error {
 			step = 1
 		}
 		for a := 0; a+1 < n; a += step {
-			opts := osu.Options{Sizes: []int{8}, Warmup: 3, Iters: iters, Window: 8,
-				PairA: a, PairB: a + 1}
-			samples, err := runP2PCurve(m, a, a+1, opts, osu.Latency)
+			opts := osu.Options{Sizes: []int{8}, Warmup: 3, Iters: iters, Window: 8}
+			samples, err := runP2PCurve(m, a, a+1, 0, opts, osu.Latency)
 			if err != nil {
 				return err
 			}

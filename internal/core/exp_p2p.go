@@ -9,20 +9,21 @@ import (
 	"repro/internal/osu"
 	"repro/internal/perfmodel"
 	"repro/internal/report"
+	"repro/internal/transport"
 )
 
 func init() {
 	register(Experiment{ID: "F1", Kind: "figure", Run: runF1, Needs: cluster.CapMultiNode,
 		Title: "Point-to-point latency vs message size, by path class"})
-	register(Experiment{ID: "F2", Kind: "figure", Run: runF2, Needs: cluster.CapMultiNode,
+	register(Experiment{ID: "F2", Rev: 1, Kind: "figure", Run: runF2, Needs: cluster.CapMultiNode,
 		Title: "Point-to-point bandwidth vs message size"})
-	register(Experiment{ID: "F3", Kind: "figure", Run: runF3, Needs: cluster.CapMultiNode,
+	register(Experiment{ID: "F3", Rev: 1, Kind: "figure", Run: runF3, Needs: cluster.CapMultiNode,
 		Title: "Bidirectional bandwidth vs message size"})
 	register(Experiment{ID: "F4", Kind: "figure", Run: runF4, Needs: cluster.CapMultiNode,
 		Title: "Multi-pair aggregate bandwidth (shared NIC saturation)"})
 	register(Experiment{ID: "F12", Kind: "figure", Run: runF12, Needs: cluster.CapMultiNode,
 		Title: "Eager vs rendezvous protocol crossover (ablation)"})
-	register(Experiment{ID: "F13", Kind: "table", Run: runF13, Needs: cluster.CapMultiNode,
+	register(Experiment{ID: "F13", Rev: 1, Kind: "table", Run: runF13, Needs: cluster.CapMultiNode,
 		Title: "LogGP parameters fitted from measurements vs configured truth"})
 }
 
@@ -73,16 +74,22 @@ func pathClassesOf(m *cluster.Model, classes []cluster.PathClass) []cluster.Path
 	return out
 }
 
-// runP2PCurve runs fn inside an mp.Run on the model's full rank count
-// and returns the measured samples for the given pair.
-func runP2PCurve(m *cluster.Model, pairA, pairB int, opts osu.Options,
+// runP2PCurve measures one rank pair of a whole-machine job: it runs
+// bench on a two-rank Sim job whose ranks 0 and 1 sit where world
+// ranks pairA and pairB of a TotalCores-rank job sit under the model's
+// placement, so the pair sees the same path class and NICs as in the
+// full job, with no idle ranks sharing them. eager is the job's
+// mp.Config.EagerThreshold. It returns the pair's samples.
+func runP2PCurve(m *cluster.Model, pairA, pairB, eager int, opts osu.Options,
 	bench func(*mp.Comm, osu.Options) ([]osu.Sample, error)) ([]osu.Sample, error) {
 
-	n := m.Topo.TotalCores()
-	opts.PairA, opts.PairB = pairA, pairB
+	fab, err := transport.NewSimPlaced(m, m.Topo.TotalCores(), []int{pairA, pairB})
+	if err != nil {
+		return nil, err
+	}
+	opts.PairA, opts.PairB = 0, 1
 	var out []osu.Sample
-	cfg := mp.Config{Fabric: mp.Sim, Model: m}
-	err := mp.Run(n, cfg, func(c *mp.Comm) error {
+	err = mp.Run(2, mp.Config{Custom: fab, EagerThreshold: eager}, func(c *mp.Comm) error {
 		s, err := bench(c, opts)
 		if err != nil {
 			return err
@@ -106,7 +113,7 @@ func runF1(w io.Writer, r Request) error {
 		classes := []cluster.PathClass{cluster.IntraSocket, cluster.IntraNode, cluster.InterNode}
 		for _, pc := range pathClassesOf(m, classes) {
 			a, b := pairForClass(m, n, pc)
-			samples, err := runP2PCurve(m, a, b, sweepOpts(r.Scale), osu.Latency)
+			samples, err := runP2PCurve(m, a, b, 0, sweepOpts(r.Scale), osu.Latency)
 			if err != nil {
 				return err
 			}
@@ -130,7 +137,7 @@ func runF2(w io.Writer, r Request) error {
 		classes := []cluster.PathClass{cluster.IntraSocket, cluster.InterNode}
 		for _, pc := range pathClassesOf(m, classes) {
 			a, b := pairForClass(m, n, pc)
-			samples, err := runP2PCurve(m, a, b, sweepOpts(r.Scale), osu.Bandwidth)
+			samples, err := runP2PCurve(m, a, b, 0, sweepOpts(r.Scale), osu.Bandwidth)
 			if err != nil {
 				return err
 			}
@@ -152,11 +159,11 @@ func runF3(w io.Writer, r Request) error {
 	for _, m := range ms {
 		n := m.Topo.TotalCores()
 		a, b := pairForClass(m, n, cluster.InterNode)
-		uni, err := runP2PCurve(m, a, b, sweepOpts(r.Scale), osu.Bandwidth)
+		uni, err := runP2PCurve(m, a, b, 0, sweepOpts(r.Scale), osu.Bandwidth)
 		if err != nil {
 			return err
 		}
-		bi, err := runP2PCurve(m, a, b, sweepOpts(r.Scale), osu.BiBandwidth)
+		bi, err := runP2PCurve(m, a, b, 0, sweepOpts(r.Scale), osu.BiBandwidth)
 		if err != nil {
 			return err
 		}
@@ -242,20 +249,8 @@ func runF12(w io.Writer, r Request) error {
 		{"always-rendezvous", -1},
 		{"default-8KiB", 0},
 	} {
-		opts := osu.Options{Sizes: sizes, Warmup: 3, Iters: 30, Window: 8,
-			PairA: 0, PairB: n - 1}
-		var samples []osu.Sample
-		cfg := mp.Config{Fabric: mp.Sim, Model: m, EagerThreshold: mode.thresh}
-		err := mp.Run(n, cfg, func(c *mp.Comm) error {
-			sm, err := osu.Latency(c, opts)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				samples = sm
-			}
-			return nil
-		})
+		opts := osu.Options{Sizes: sizes, Warmup: 3, Iters: 30, Window: 8}
+		samples, err := runP2PCurve(m, 0, n-1, mode.thresh, opts, osu.Latency)
 		if err != nil {
 			return err
 		}
@@ -286,11 +281,11 @@ func runF13(w io.Writer, r Request) error {
 	}
 	latOpts := opts
 	latOpts.Sizes = latSizes
-	lat, err := runP2PCurve(m, a, b, latOpts, osu.Latency)
+	lat, err := runP2PCurve(m, a, b, 0, latOpts, osu.Latency)
 	if err != nil {
 		return err
 	}
-	bw, err := runP2PCurve(m, a, b, opts, osu.Bandwidth)
+	bw, err := runP2PCurve(m, a, b, 0, opts, osu.Bandwidth)
 	if err != nil {
 		return err
 	}

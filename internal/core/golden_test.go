@@ -4,16 +4,22 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
 // goldenIDs is the deterministic experiment set: fully modeled, no
 // host measurement, no fabric-scheduling nondeterminism. Their
-// default-platform quick-scale output is pinned byte-for-byte against
-// testdata captured BEFORE the platform-registry refactor, proving
-// Request{Platform: ""} reproduces the hardwired-constructor output
-// exactly.
-var goldenIDs = []string{"T1", "M3", "M4", "M5", "M6"}
+// default-platform quick-scale output is pinned byte-for-byte. The
+// T1/M3-M6 goldens predate the platform-registry refactor and the
+// F1/F12/F14 goldens predate measuring pairs on two-rank jobs, so they
+// prove neither change moved a byte.
+var goldenIDs = append([]string{"T1", "M3", "M4", "M5", "M6"}, p2pIDs...)
+
+// p2pIDs are the rank-pair experiments; each measures its pairs on
+// two-rank jobs, so nothing but the pair's own traffic decides its
+// virtual times.
+var p2pIDs = []string{"F1", "F2", "F3", "F12", "F13", "F14"}
 
 // TestGoldenDefaultPlatformOutput is the refactor's acceptance gate:
 // for every deterministic experiment, the default request renders the
@@ -69,6 +75,32 @@ func TestGoldenStableAcrossRuns(t *testing.T) {
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Errorf("%s is not deterministic and cannot be golden-tested", id)
+		}
+	}
+}
+
+// TestP2PStableAcrossGOMAXPROCS: the pair experiments render the same
+// bytes on the default platform and on bgp-64n whatever the number of
+// OS threads the rank goroutines are scheduled on.
+func TestP2PStableAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, id := range p2pIDs {
+		e, _ := Get(id)
+		for _, platform := range []string{"", "bgp-64n"} {
+			var first []byte
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				var b bytes.Buffer
+				if err := e.Run(&b, Request{Scale: Quick, Platform: platform}); err != nil {
+					t.Fatalf("%s on %q: %v", id, platform, err)
+				}
+				if first == nil {
+					first = b.Bytes()
+				} else if !bytes.Equal(b.Bytes(), first) {
+					t.Errorf("%s on %q: GOMAXPROCS=%d output differs from GOMAXPROCS=1\n got:\n%s\nwant:\n%s",
+						id, platform, procs, b.Bytes(), first)
+				}
+			}
 		}
 	}
 }

@@ -128,7 +128,10 @@ type Config struct {
 	Bcast     BcastAlgo
 	Allreduce AllreduceAlgo
 	// Custom, if non-nil, overrides Fabric/Model with a caller-supplied
-	// transport. Run closes it on completion.
+	// transport whose size must be Run's rank count: a fault-laden
+	// fabric in tests, or a Sim fabric whose ranks are placed at chosen
+	// ranks of a larger job (transport.NewSimPlaced). Run closes it on
+	// completion.
 	Custom FabricProvider
 }
 
@@ -146,8 +149,8 @@ func (c Config) eager() int {
 // ErrInvalidSize is returned by Run for a non-positive rank count.
 var ErrInvalidSize = errors.New("mp: rank count must be >= 1")
 
-// FabricProvider supplies endpoints for a custom transport; tests use
-// it to inject fault-laden fabrics (see transport.FaultyFabric).
+// FabricProvider supplies endpoints for a custom transport (see
+// Config.Custom).
 type FabricProvider interface {
 	Endpoint(int) (transport.Endpoint, error)
 	Close() error

@@ -37,7 +37,7 @@ type Options struct {
 	PairA, PairB int
 }
 
-func (o Options) normalize(size int) Options {
+func (o Options) normalize() Options {
 	if o.Sizes == nil {
 		o.Sizes = DefaultSizes()
 	}
@@ -53,7 +53,6 @@ func (o Options) normalize(size int) Options {
 	if o.PairB == 0 && o.PairA == 0 {
 		o.PairB = 1
 	}
-	_ = size
 	return o
 }
 
@@ -94,19 +93,19 @@ const benchTag = 7001
 // PairB, returning one sample per size: half round-trip time in
 // seconds. Every rank must call it; non-pair ranks only synchronize.
 func Latency(c *mp.Comm, opts Options) ([]Sample, error) {
-	opts = opts.normalize(c.Size())
+	opts = opts.normalize()
 	if err := checkPair(c, opts); err != nil {
 		return nil, err
 	}
 	var out []Sample
 	for _, size := range opts.Sizes {
 		warm, iters := opts.loops(size)
-		buf := make([]byte, size)
 		if err := c.Barrier(); err != nil {
 			return nil, err
 		}
 		me, peer := pairRole(c, opts)
 		if me == 0 || me == 1 {
+			buf := make([]byte, size)
 			var t0 float64
 			for i := 0; i < warm+iters; i++ {
 				if i == warm {
@@ -142,7 +141,7 @@ func Latency(c *mp.Comm, opts Options) ([]Sample, error) {
 // window of nonblocking sends, PairB a window of receives followed by a
 // 4-byte acknowledgement. Returns bytes/s per size.
 func Bandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
-	opts = opts.normalize(c.Size())
+	opts = opts.normalize()
 	if err := checkPair(c, opts); err != nil {
 		return nil, err
 	}
@@ -153,12 +152,12 @@ func Bandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
 			continue // bandwidth of empty messages is undefined
 		}
 		warm, iters := opts.loops(size)
-		buf := make([]byte, size)
 		if err := c.Barrier(); err != nil {
 			return nil, err
 		}
 		me, peer := pairRole(c, opts)
 		if me == 0 || me == 1 {
+			buf := make([]byte, size)
 			var t0 float64
 			reqs := make([]*mp.Request, opts.Window)
 			for i := 0; i < warm+iters; i++ {
@@ -215,7 +214,7 @@ func Bandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
 // window concurrently; the reported value counts traffic in both
 // directions, as osu_bibw does.
 func BiBandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
-	opts = opts.normalize(c.Size())
+	opts = opts.normalize()
 	if err := checkPair(c, opts); err != nil {
 		return nil, err
 	}
@@ -225,13 +224,13 @@ func BiBandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
 			continue
 		}
 		warm, iters := opts.loops(size)
-		sbuf := make([]byte, size)
-		rbuf := make([]byte, size)
 		if err := c.Barrier(); err != nil {
 			return nil, err
 		}
 		me, peer := pairRole(c, opts)
 		if me == 0 || me == 1 {
+			sbuf := make([]byte, size)
+			rbuf := make([]byte, size)
 			var t0 float64
 			sreqs := make([]*mp.Request, opts.Window)
 			rreqs := make([]*mp.Request, opts.Window)
@@ -281,7 +280,7 @@ func BiBandwidth(c *mp.Comm, opts Options) ([]Sample, error) {
 // rank i+pairs. Returns aggregate bytes/s per size. All ranks call it;
 // requires size >= 2*pairs.
 func MultiPairBandwidth(c *mp.Comm, pairs int, opts Options) ([]Sample, error) {
-	opts = opts.normalize(c.Size())
+	opts = opts.normalize()
 	if pairs < 1 || 2*pairs > c.Size() {
 		return nil, fmt.Errorf("osu: %d pairs need %d ranks, have %d", pairs, 2*pairs, c.Size())
 	}
@@ -292,7 +291,6 @@ func MultiPairBandwidth(c *mp.Comm, pairs int, opts Options) ([]Sample, error) {
 			continue
 		}
 		warm, iters := opts.loops(size)
-		buf := make([]byte, size)
 		if err := c.Barrier(); err != nil {
 			return nil, err
 		}
@@ -305,8 +303,9 @@ func MultiPairBandwidth(c *mp.Comm, pairs int, opts Options) ([]Sample, error) {
 			peer = c.Rank() - pairs
 		}
 		var t0 float64
-		reqs := make([]*mp.Request, opts.Window)
 		if sender || receiver {
+			buf := make([]byte, size)
+			reqs := make([]*mp.Request, opts.Window)
 			for i := 0; i < warm+iters; i++ {
 				if i == warm {
 					t0 = c.Time()

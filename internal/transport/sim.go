@@ -55,18 +55,37 @@ type nic struct {
 // NewSim creates a virtual-time fabric for n ranks on the given platform
 // model. n must not exceed the model's core count.
 func NewSim(n int, model *cluster.Model) (*SimFabric, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("transport: fabric size %d", n)
+	}
+	ranks := make([]int, n)
+	for r := range ranks {
+		ranks[r] = r
+	}
+	return NewSimPlaced(model, n, ranks)
+}
+
+// NewSimPlaced creates a virtual-time fabric for a job of len(ranks)
+// ranks whose rank i sits where world rank ranks[i] of a world-rank job
+// would sit under the model's placement. A measurement that involves
+// only a few ranks of a large job runs on exactly those ranks and sees
+// the same path classes and NICs, without spawning the idle rest. The
+// ranks must be distinct and lie in [0, world), and world must not
+// exceed the model's core count.
+func NewSimPlaced(model *cluster.Model, world int, ranks []int) (*SimFabric, error) {
 	if model == nil {
 		return nil, fmt.Errorf("transport: Sim fabric requires a cluster model")
 	}
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	if n <= 0 {
-		return nil, fmt.Errorf("transport: fabric size %d", n)
+	if world <= 0 || len(ranks) == 0 {
+		return nil, fmt.Errorf("transport: fabric size %d of world %d", len(ranks), world)
 	}
-	if n > model.Topo.TotalCores() {
+	if world > model.Topo.TotalCores() {
 		return nil, cluster.ErrTooManyRanks
 	}
+	n := len(ranks)
 	f := &SimFabric{
 		model:  model,
 		n:      n,
@@ -75,15 +94,21 @@ func NewSim(n int, model *cluster.Model) (*SimFabric, error) {
 		nics:   make([]nic, model.Topo.Nodes),
 		locs:   make([]cluster.Location, n),
 	}
-	for i := range f.boxes {
-		f.boxes[i] = newMailbox()
-	}
-	for r := range f.locs {
-		loc, err := model.Topo.Place(r, n, model.Placement)
+	seen := make([]bool, world)
+	for i, r := range ranks {
+		if r < 0 || r >= world {
+			return nil, fmt.Errorf("transport: world rank %d out of [0,%d)", r, world)
+		}
+		if seen[r] {
+			return nil, fmt.Errorf("transport: world rank %d placed twice", r)
+		}
+		seen[r] = true
+		loc, err := model.Topo.Place(r, world, model.Placement)
 		if err != nil {
 			return nil, err
 		}
-		f.locs[r] = loc
+		f.locs[i] = loc
+		f.boxes[i] = newMailbox()
 	}
 	return f, nil
 }

@@ -434,6 +434,94 @@ func TestMailboxCompaction(t *testing.T) {
 	}
 }
 
+// TestSimPlacedMatchesWorld: a two-rank fabric placed at world ranks a
+// and b stamps the first packet from its rank 0 to its rank 1 exactly
+// as a full world-rank fabric stamps the first packet from a to b, for
+// a pair of each path class the platform has, under both placements.
+func TestSimPlacedMatchesWorld(t *testing.T) {
+	first := func(fab *SimFabric, src, dst int) [2]uint64 {
+		t.Helper()
+		defer fab.Close()
+		es, _ := fab.Endpoint(src)
+		ed, _ := fab.Endpoint(dst)
+		if err := es.Send(dst, Packet{Type: Data, Data: make([]byte, 4096)}); err != nil {
+			t.Fatal(err)
+		}
+		pkt, ok, _ := ed.Recv(true)
+		if !ok {
+			t.Fatal("no packet")
+		}
+		return [2]uint64{math.Float64bits(pkt.Arrival), math.Float64bits(pkt.RecvO)}
+	}
+	for _, name := range []string{"ib-8n", "bgp-64n"} {
+		for _, placement := range []cluster.Placement{cluster.Block, cluster.Cyclic} {
+			m, _ := cluster.Lookup(name)
+			m.Placement = placement
+			world := m.Topo.TotalCores()
+			for _, pc := range []cluster.PathClass{cluster.IntraSocket, cluster.IntraNode, cluster.InterNode} {
+				a, b, ok := worldPair(m, world, pc)
+				if !ok {
+					if m.Topo.SocketsPerNode > 1 || pc != cluster.IntraNode {
+						t.Fatalf("%s/%s: no %s pair", name, placement, pc)
+					}
+					continue // single-socket nodes have no intra-node path
+				}
+				full, err := NewSim(world, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				placed, err := NewSimPlaced(m, world, []int{a, b})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := first(placed, 0, 1), first(full, a, b); got != want {
+					t.Errorf("%s/%s %s pair (%d,%d): placed stamp %v, full %v",
+						name, placement, pc, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+// worldPair returns the first world pair (a, b), a > 0, of path class
+// pc on the model.
+func worldPair(m *cluster.Model, world int, pc cluster.PathClass) (int, int, bool) {
+	for a := 1; a < world; a++ {
+		la, _ := m.Topo.Place(a, world, m.Placement)
+		for b := a + 1; b < world; b++ {
+			lb, _ := m.Topo.Place(b, world, m.Placement)
+			if cluster.Classify(la, lb) == pc {
+				return a, b, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+func TestSimPlacedRejectsBadRanks(t *testing.T) {
+	m := cluster.IBCluster()
+	world := m.Topo.TotalCores()
+	for name, tc := range map[string]struct {
+		world int
+		ranks []int
+	}{
+		"duplicate":          {world, []int{3, 3}},
+		"negative":           {world, []int{-1, 2}},
+		"at world":           {16, []int{0, 16}},
+		"beyond world":       {16, []int{0, 40}},
+		"no ranks":           {world, nil},
+		"world too big":      {world + 1, []int{0, 1}},
+		"world non-positive": {0, []int{0, 1}},
+	} {
+		if _, err := NewSimPlaced(m, tc.world, tc.ranks); err == nil {
+			t.Errorf("%s: world %d ranks %v accepted", name, tc.world, tc.ranks)
+		}
+	}
+	if _, err := NewSimPlaced(nil, 2, []int{0, 1}); err == nil {
+		t.Error("nil model accepted")
+	}
+}
+
 // TestSimPlacedRndvTimingMatchesShipped: a RndvData whose payload the
 // sender already placed in the receiver's buffer (only Size set) must
 // cost exactly what the same packet carrying the payload costs —
